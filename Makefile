@@ -21,7 +21,7 @@ LOAD_DURATION   ?= 5s
 LOAD_MAX_P99_MS ?= 250
 LOAD_MAX_LAG    ?= 10s
 
-.PHONY: build test race vet bench cover loadtest loadtest-repl
+.PHONY: build test race vet bench cover loadtest loadtest-repl clean-checkout
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,22 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# clean-checkout runs build, vet and test on exactly what is committed:
+# HEAD is exported with git archive into a temporary directory and
+# tested there, so a file that exists only in a working tree cannot make
+# the tree pass locally while a fresh clone fails. It first refuses any
+# git-ignored *.go file in the module (outside the dot- and
+# underscore-directories go ./... skips): such a file builds locally but
+# is never committed.
+clean-checkout:
+	@ignored=$$(git ls-files --others --ignored --exclude-standard -- '*.go' | grep -Ev '(^|/)[._]' || true); \
+	if [ -n "$$ignored" ]; then \
+		echo "git-ignored Go files (a commit would leave them out):"; echo "$$ignored"; exit 1; \
+	fi
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	git archive HEAD | tar -x -C "$$tmp" && cd "$$tmp" && \
+	$(GO) build ./... && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # bench runs every benchmark and writes $(BENCH_OUT): one JSON record per
 # op with iterations, ns/op, B/op and allocs/op. Two steps, not a pipe,

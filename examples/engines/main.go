@@ -18,7 +18,6 @@ import (
 	"repro/internal/gspan"
 	"repro/internal/kernel"
 	"repro/internal/mcs"
-	"repro/internal/subiso"
 	"repro/internal/topk"
 	"repro/internal/vecspace"
 
@@ -61,16 +60,11 @@ func main() {
 	for i := range vecs {
 		vecs[i] = sub.Vector(i)
 	}
-	mapQ := func(q *graph.Graph) *vecspace.BitVector {
-		v := vecspace.NewBitVector(len(res.Selected))
-		for pos, r := range res.Selected {
-			f := feats[r].Graph
-			if f.N() <= q.N() && f.M() <= q.M() && subiso.Contains(q, f) {
-				v.Set(pos)
-			}
-		}
-		return v
+	dims := make([]*graph.Graph, len(res.Selected))
+	for pos, r := range res.Selected {
+		dims[pos] = feats[r].Graph
 	}
+	mapQ := vecspace.NewMapper(dims).Map
 
 	// GED prototypes and kernels.
 	pe := ged.SelectPrototypes(db, 16, ged.DefaultCosts(), 1)

@@ -408,12 +408,14 @@ func (s *snapshot) labelIndex() *posting.LabelIndex {
 // started on. The dimension set is fixed at Build time and never changes;
 // only the database below it grows and shrinks.
 type Index struct {
-	features []*Graph
-	mapper   *vecspace.Mapper
-	weights  []float64
-	metric   Metric
-	mcsOpt   mcs.Options
-	workers  int // batch fan-out bound; always >= 1
+	// mapper holds the dimension set, compiled for query mapping; the
+	// shards of a collection with structurally equal dimension sets
+	// share one (see shareMappers).
+	mapper  *vecspace.Mapper
+	weights []float64
+	metric  Metric
+	mcsOpt  mcs.Options
+	workers int // batch fan-out bound; always >= 1
 
 	mu   sync.Mutex // serializes Add/Remove snapshot swaps
 	snap atomic.Pointer[snapshot]
@@ -423,17 +425,16 @@ type Index struct {
 	gen atomic.Uint64
 }
 
-func newIndex(features []*Graph, weights []float64, metric Metric, mcsOpt mcs.Options, workers int, snap *snapshot) *Index {
+func newIndex(mapper *vecspace.Mapper, weights []float64, metric Metric, mcsOpt mcs.Options, workers int, snap *snapshot) *Index {
 	ix := &Index{
-		features: features,
-		mapper:   vecspace.NewMapper(features),
-		weights:  weights,
-		metric:   metric,
-		mcsOpt:   mcsOpt,
-		workers:  workers,
+		mapper:  mapper,
+		weights: weights,
+		metric:  metric,
+		mcsOpt:  mcsOpt,
+		workers: workers,
 	}
 	if snap.post == nil {
-		snap.post = posting.FromVectors(snap.vectors, len(features))
+		snap.post = posting.FromVectors(snap.vectors, mapper.Dim())
 	}
 	ix.snap.Store(snap)
 	return ix
@@ -561,7 +562,7 @@ func BuildContext(ctx context.Context, db []*Graph, opt Options) (*Index, error)
 	}
 	report(StageVectors, sub.N, sub.N)
 
-	return newIndex(features, weights, opt.Metric, mcsOpt, opt.Workers, &snapshot{
+	return newIndex(vecspace.NewMapper(features), weights, opt.Metric, mcsOpt, opt.Workers, &snapshot{
 		db:      db,
 		vectors: vectors,
 		dead:    make([]bool, len(db)),
@@ -571,7 +572,7 @@ func BuildContext(ctx context.Context, db []*Graph, opt Options) (*Index, error)
 
 // Dimensions returns the selected subgraph dimensions, most informative
 // first.
-func (ix *Index) Dimensions() []*Graph { return ix.features }
+func (ix *Index) Dimensions() []*Graph { return ix.mapper.Features() }
 
 // Weights returns the DSPM weight of each dimension, aligned with
 // Dimensions.

@@ -664,5 +664,6 @@ func (s *Store) loadCollection(dir string, cm collectionManifest) (*Collection, 
 			return nil, err
 		}
 	}
+	shareMappers(c.shards)
 	return c, nil
 }

@@ -133,8 +133,8 @@ func (ix *Index) writeSnapshot(w io.Writer, s *snapshot, postings bool) (int64, 
 	enc := &v2Encoder{w: bw}
 	enc.byte(byte(ix.metric))
 	enc.uvarint(uint64(ix.mcsOpt.MaxNodes))
-	enc.uvarint(uint64(len(ix.features)))
-	for i, f := range ix.features {
+	enc.uvarint(uint64(ix.mapper.Dim()))
+	for i, f := range ix.mapper.Features() {
 		enc.float64(ix.weights[i])
 		enc.graph(f)
 	}
@@ -144,7 +144,7 @@ func (ix *Index) writeSnapshot(w io.Writer, s *snapshot, postings bool) (int64, 
 		enc.graph(s.graph(i))
 	}
 	enc.bytes(packBools(s.dead))
-	p := len(ix.features)
+	p := ix.mapper.Dim()
 	for i := range s.vectors {
 		enc.bytes(packWords(s.vectorAt(i).Words(), p))
 	}
@@ -272,7 +272,7 @@ func readIndexBinary(br *bufio.Reader, v3 bool) (*Index, error) {
 
 	// A nil post (v2 file, or v3 with the section absent) is rebuilt from
 	// the vectors inside newIndex.
-	return newIndex(features, weights, Metric(metric), mcs.Options{MaxNodes: int64(budget)},
+	return newIndex(vecspace.NewMapper(features), weights, Metric(metric), mcs.Options{MaxNodes: int64(budget)},
 		pool.DefaultWorkers(0), &snapshot{
 			db:        db,
 			vectors:   vectors,
@@ -400,7 +400,7 @@ func readIndexV1(r io.Reader) (*Index, error) {
 	}
 	// v1 predates tombstones and incremental adds: everything is live and
 	// part of the persisted build.
-	return newIndex(features, f.Weights, Metric(f.Metric), mcs.Options{MaxNodes: f.MCSBudget},
+	return newIndex(vecspace.NewMapper(features), f.Weights, Metric(f.Metric), mcs.Options{MaxNodes: f.MCSBudget},
 		pool.DefaultWorkers(0), &snapshot{
 			db:      db,
 			vectors: vectors,
@@ -419,7 +419,7 @@ func (ix *Index) writeToV1(w io.Writer) error {
 		MCSBudget: ix.mcsOpt.MaxNodes,
 		Weights:   ix.weights,
 	}
-	for _, g := range ix.features {
+	for _, g := range ix.mapper.Features() {
 		f.Features = append(f.Features, g.String())
 	}
 	for i := range s.db {

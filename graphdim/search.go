@@ -307,18 +307,24 @@ func (ix *Index) Search(ctx context.Context, q *Graph, opt SearchOptions) (*Sear
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
+	qv, err := ix.mapper.MapContext(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	return ix.searchMapped(ctx, q, qv, opt, start)
+}
 
+// searchMapped is Search after validation and mapping: qv must be q's
+// vector under ix.mapper (or under a mapper over an equal dimension
+// list). Collection.Search maps once per distinct mapper and hands the
+// vector to every shard sharing it. qv is only read.
+func (ix *Index) searchMapped(ctx context.Context, q *Graph, qv *vecspace.BitVector, opt SearchOptions, start time.Time) (*SearchResult, error) {
 	metric := ix.metric
 	switch opt.Metric {
 	case MetricDelta1:
 		metric = Delta1
 	case MetricDelta2:
 		metric = Delta2
-	}
-
-	qv, err := ix.mapper.MapContext(ctx, q)
-	if err != nil {
-		return nil, err
 	}
 
 	s := ix.snap.Load()
@@ -368,6 +374,7 @@ func (ix *Index) Search(ctx context.Context, q *Graph, opt SearchOptions) (*Sear
 	var (
 		ranking    topk.Ranking
 		candidates int
+		err        error
 	)
 	switch opt.Engine {
 	case EngineMapped:

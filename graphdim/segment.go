@@ -98,7 +98,7 @@ func (ix *Index) writeSegment(w io.Writer, s *snapshot) error {
 			Metric:    byte(ix.metric),
 			MCSBudget: ix.mcsOpt.MaxNodes,
 			Weights:   ix.weights,
-			Features:  ix.features,
+			Features:  ix.mapper.Features(),
 			BaseN:     s.baseN,
 		},
 		Block: blk,
@@ -223,6 +223,6 @@ func indexFromSegment(r *segment.Reader, rehydrate bool) (*Index, error) {
 		snap.seg = newSegSource(r)
 	}
 	snap.block.Store(blk)
-	return newIndex(m.Features, m.Weights, Metric(m.Metric),
+	return newIndex(vecspace.NewMapper(m.Features), m.Weights, Metric(m.Metric),
 		mcs.Options{MaxNodes: m.MCSBudget}, pool.DefaultWorkers(0), snap), nil
 }

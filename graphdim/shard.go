@@ -3,9 +3,12 @@ package graphdim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/vecspace"
 )
 
 // A collection splits its database across shards by hashing global ids, so
@@ -134,6 +137,53 @@ func (sh *shard) graph(g int) (*Graph, bool) {
 		return nil, false
 	}
 	return st.idx.Graph(local), true
+}
+
+// shareMappers points every shard whose dimension list is structurally
+// equal to an earlier shard's at that shard's mapper, so a collection
+// whose shards were decoded separately (a store opened from disk) still
+// maps each query once per distinct dimension set. It must run before
+// the shards are published: it writes Index.mapper without
+// synchronization.
+func shareMappers(shards []*shard) {
+	var distinct []*vecspace.Mapper
+	for _, sh := range shards {
+		ix := sh.state.Load().idx
+		shared := false
+		for _, m := range distinct {
+			if m == ix.mapper || sameGraphs(m.Features(), ix.mapper.Features()) {
+				ix.mapper, shared = m, true
+				break
+			}
+		}
+		if !shared {
+			distinct = append(distinct, ix.mapper)
+		}
+	}
+}
+
+// sameGraphs reports whether two graph lists are equal element by
+// element: same vertex labels in the same order and the same labeled
+// edge set.
+func sameGraphs(a, b []*Graph) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.N() != y.N() || x.M() != y.M() {
+			return false
+		}
+		for v := 0; v < x.N(); v++ {
+			if x.VertexLabel(v) != y.VertexLabel(v) {
+				return false
+			}
+		}
+		if !slices.Equal(x.Edges(), y.Edges()) {
+			return false
+		}
+	}
+	return true
 }
 
 // errShardTooSmall marks a shard compaction skipped because the live

@@ -452,7 +452,7 @@ func (s *Store) CreateFromIndex(name string, src *Index, opt CollectionOptions) 
 	for i := range c.shards {
 		p := parts[i]
 		c.shards[i] = newShard(&shardState{
-			idx: newIndex(src.features, src.weights, src.metric, src.mcsOpt, shardWorkers, &snapshot{
+			idx: newIndex(src.mapper, src.weights, src.metric, src.mcsOpt, shardWorkers, &snapshot{
 				db:        p.db,
 				vectors:   p.vectors,
 				dead:      p.dead,
@@ -662,12 +662,19 @@ func (c *Collection) overlay(opt SearchOptions) SearchOptions {
 // a shard has been compacted it ranks in its own (re-selected) mapped
 // space; exact and fully verified scores remain directly comparable.
 //
+// The query is mapped onto the dimensions once per distinct dimension set
+// — once in total until a compaction re-selects a shard's dimensions —
+// and every shard sharing that set scans with the same vector.
+//
 // SearchOptions is the same type Index.Search takes; zero-valued fields
 // first take the collection's defaults (see CollectionOptions.Defaults).
 // The Predicate, like the returned Results, sees global ids. The result's
 // Matched bitset is the first shard's view of the query.
 func (c *Collection) Search(ctx context.Context, q *Graph, opt SearchOptions) (*SearchResult, error) {
 	start := time.Now()
+	if q == nil {
+		return nil, fmt.Errorf("graphdim: nil query")
+	}
 	opt = c.overlay(opt)
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -700,9 +707,33 @@ func (c *Collection) generations() []uint64 {
 func (c *Collection) searchShards(ctx context.Context, q *Graph, opt SearchOptions, start time.Time) (*SearchResult, error) {
 	userPred := opt.Predicate
 
+	// Map the query once per distinct mapper before the fan-out: shards
+	// sharing a dimension set share one mapper (see shareMappers), so
+	// until a compaction re-selects a shard's dimensions that is one
+	// mapping per query, not one per shard. The states are loaded once
+	// so each shard searches the state its vector was mapped for.
+	states := make([]*shardState, len(c.shards))
+	qvs := make([]*vecspace.BitVector, len(c.shards))
+	for i, sh := range c.shards {
+		states[i] = sh.state.Load()
+		for j := 0; j < i; j++ {
+			if states[j].idx.mapper == states[i].idx.mapper {
+				qvs[i] = qvs[j]
+				break
+			}
+		}
+		if qvs[i] == nil {
+			qv, err := states[i].idx.mapper.MapContext(ctx, q)
+			if err != nil {
+				return nil, err
+			}
+			qvs[i] = qv
+		}
+	}
+
 	outs := make([]shardOut, len(c.shards))
 	_ = c.store.budget.ForContext(ctx, len(c.shards), func(i int) {
-		st := c.shards[i].state.Load()
+		st := states[i]
 		sopt := opt
 		n := len(st.globals)
 		// The table bound makes the composite (index, table) read
@@ -711,7 +742,7 @@ func (c *Collection) searchShards(ctx context.Context, q *Graph, opt SearchOptio
 		sopt.Predicate = func(local int, g *Graph) bool {
 			return local < n && (userPred == nil || userPred(st.globals[local], g))
 		}
-		res, err := st.idx.Search(ctx, q, sopt)
+		res, err := st.idx.searchMapped(ctx, q, qvs[i], sopt, time.Now())
 		if err != nil {
 			outs[i].err = err
 			return

@@ -76,6 +76,8 @@ func Fig1(ds *Dataset, p, nbins int) (*Fig1Result, error) {
 	}
 	dspmVecs := SelectionVectors(ds, res.Selected)
 	origVecs := SelectionVectors(ds, all)
+	// ds.Mapper is the mapper over every feature in order, i.e. over all.
+	dspmMapper := selectionMapper(ds, res.Selected)
 
 	n := len(ds.DB)
 	var deltaVals, dspmVals, origVals []float64
@@ -94,8 +96,8 @@ func Fig1(ds *Dataset, p, nbins int) (*Fig1Result, error) {
 
 	var dq, sq, oq []float64
 	for qi, q := range ds.Queries {
-		qd := mapQuery(ds, res.Selected, q)
-		qo := mapQuery(ds, all, q)
+		qd := dspmMapper.Map(q)
+		qo := ds.Mapper.Map(q)
 		for i := 0; i < n; i++ {
 			// Reuse the cached exact rankings for δ(q, gi).
 			_ = qi
@@ -261,6 +263,8 @@ func Fig7(ds *Dataset, p int, bucketBounds []int, exactPerBucket int) (*Fig7Resu
 	}
 	dspmVecs := SelectionVectors(ds, res.Selected)
 	origVecs := SelectionVectors(ds, all)
+	// ds.Mapper is the mapper over every feature in order, i.e. over all.
+	dspmMapper := selectionMapper(ds, res.Selected)
 
 	nb := len(bucketBounds) - 1
 	out := &Fig7Result{
@@ -289,12 +293,12 @@ func Fig7(ds *Dataset, p int, bucketBounds []int, exactPerBucket int) (*Fig7Resu
 		counts[b]++
 
 		t0 := time.Now()
-		qv := mapQuery(ds, res.Selected, q)
+		qv := dspmMapper.Map(q)
 		topk.Mapped(dspmVecs, qv)
 		out.DSPM[b] += time.Since(t0)
 
 		t1 := time.Now()
-		qo := mapQuery(ds, all, q)
+		qo := ds.Mapper.Map(q)
 		topk.Mapped(origVecs, qo)
 		out.Original[b] += time.Since(t1)
 

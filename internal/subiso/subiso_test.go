@@ -228,3 +228,44 @@ func TestCountMappings(t *testing.T) {
 		t.Errorf("CountMappings limited = %d, want 4", got)
 	}
 }
+
+// TestCompiledInMatchesContains compiles each pattern once and tests it
+// against a stream of targets whose sizes go up and down, so pooled
+// search state is reused across targets larger and smaller than the
+// last; every answer must equal Contains and the brute-force reference.
+func TestCompiledInMatchesContains(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var targets []*graph.Graph
+	for i := 0; i < 60; i++ {
+		n := []int{9, 2, 6, 1, 8, 3, 0}[i%7]
+		if n == 0 {
+			targets = append(targets, graph.New(0))
+			continue
+		}
+		targets = append(targets, randomGraph(r, n, r.Intn(6), 2))
+	}
+	for i := 0; i < 80; i++ {
+		pattern := randomGraph(r, 1+r.Intn(4), r.Intn(3), 2)
+		if i%5 == 0 {
+			// Disconnected: a second component after the first.
+			other := randomGraph(r, 1+r.Intn(3), 0, 2)
+			off := pattern.N()
+			for v := 0; v < other.N(); v++ {
+				pattern.AddVertex(other.VertexLabel(v))
+			}
+			for _, e := range other.Edges() {
+				pattern.MustAddEdge(off+e.U, off+e.V, e.Label)
+			}
+		}
+		c := Compile(pattern)
+		for j, target := range targets {
+			got := c.In(target)
+			if want := Contains(target, pattern); got != want {
+				t.Fatalf("pattern %d target %d: In=%v Contains=%v", i, j, got, want)
+			}
+			if want := bruteContains(target, pattern); got != want {
+				t.Fatalf("pattern %d target %d: In=%v brute=%v", i, j, got, want)
+			}
+		}
+	}
+}

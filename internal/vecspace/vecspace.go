@@ -6,15 +6,11 @@
 package vecspace
 
 import (
-	"context"
 	"math"
 	"math/bits"
 	"sort"
 
-	"repro/internal/graph"
 	"repro/internal/gspan"
-	"repro/internal/pool"
-	"repro/internal/subiso"
 )
 
 // BitVector is a packed binary feature vector y_i ∈ {0,1}^p.
@@ -97,70 +93,6 @@ func (v *BitVector) Distance(o *BitVector) float64 {
 		return 0
 	}
 	return math.Sqrt(float64(v.HammingDistance(o)) / float64(v.p))
-}
-
-// Mapper maps graphs onto a fixed feature set F = {f1..fp} by subgraph
-// isomorphism tests (φ in the paper). It is how unseen query graphs enter
-// the multidimensional space. A Mapper is immutable after construction
-// and therefore safe for concurrent use: every Map call allocates its own
-// VF2 matcher state.
-type Mapper struct {
-	features []*graph.Graph
-}
-
-// NewMapper builds a mapper over the given ordered feature list.
-func NewMapper(features []*graph.Graph) *Mapper {
-	return &Mapper{features: features}
-}
-
-// Dim returns p = |F|.
-func (m *Mapper) Dim() int { return len(m.features) }
-
-// Features returns the ordered feature list (shared storage).
-func (m *Mapper) Features() []*graph.Graph { return m.features }
-
-// Map computes the binary vector of g: bit r is 1 iff f_r ⊆ g.
-func (m *Mapper) Map(g *graph.Graph) *BitVector {
-	v, _ := m.MapContext(context.Background(), g)
-	return v
-}
-
-// MapContext is Map with cancellation: ctx is checked before each of the
-// p subgraph-isomorphism tests (each test is the expensive unit), and a
-// cancelled call returns (nil, ctx.Err()).
-func (m *Mapper) MapContext(ctx context.Context, g *graph.Graph) (*BitVector, error) {
-	v := NewBitVector(len(m.features))
-	for r, f := range m.features {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Cheap size filter before the isomorphism test.
-		if f.N() > g.N() || f.M() > g.M() {
-			continue
-		}
-		if subiso.Contains(g, f) {
-			v.Set(r)
-		}
-	}
-	return v, nil
-}
-
-// MapAll maps a whole database sequentially.
-func (m *Mapper) MapAll(db []*graph.Graph) []*BitVector {
-	return m.MapAllWorkers(db, 1)
-}
-
-// MapAllWorkers maps a whole database with a bounded worker pool, one
-// graph per task (workers <= 0 means one per CPU). Per-graph mapping is
-// embarrassingly parallel — the p subgraph-isomorphism tests of graph i
-// share nothing with those of graph j — so the result is identical to
-// MapAll for every worker count.
-func (m *Mapper) MapAllWorkers(db []*graph.Graph, workers int) []*BitVector {
-	out := make([]*BitVector, len(db))
-	pool.For(pool.DefaultWorkers(workers), len(db), func(i int) {
-		out[i] = m.Map(db[i])
-	})
-	return out
 }
 
 // Index holds the inverted lists of Section 5.1.2 for a database mapped
